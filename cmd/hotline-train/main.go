@@ -28,6 +28,10 @@ func main() {
 	parallel := flag.Int("par", 0, "training kernel workers (0 = NumCPU); results are bit-identical for any value")
 	flag.Parse()
 
+	if *batch < 1 {
+		fmt.Fprintf(os.Stderr, "hotline-train: -batch must be >= 1, got %d\n", *batch)
+		os.Exit(2)
+	}
 	hotline.Parallelism(*parallel)
 	cfg, err := hotline.DatasetByName(*dataset)
 	if err != nil {

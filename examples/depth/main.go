@@ -22,7 +22,7 @@ func main() {
 	cfg.Samples = 2048
 	const iters, batch, seed, nodes = 10, 256, 42, 4
 
-	run := func(depth int, overlap, stale bool) (*hotline.Model, hotline.OverlapStats) {
+	run := func(depth int, stale bool) (*hotline.Model, hotline.OverlapStats) {
 		svc := hotline.NewShardService(hotline.ShardConfig{
 			Nodes:      nodes,
 			CacheBytes: hotline.DefaultShardCacheBytes(cfg),
@@ -30,7 +30,6 @@ func main() {
 		}, nil)
 		svc.SetStaleReads(stale)
 		tr := hotline.NewHotlineShardedTrainer(hotline.NewModel(cfg, seed), 0.1, svc)
-		tr.OverlapGather = overlap
 		tr.Depth = depth
 		tr.LearnSamples = 512
 		gen := hotline.NewGenerator(cfg)
@@ -45,11 +44,11 @@ func main() {
 		return tr.M, svc.Gatherer().Stats()
 	}
 
-	refM, syncStats := run(1, false, false)
+	refM, syncStats := run(1, false)
 	fmt.Printf("Depth-k prefetch pipeline (%d nodes, Criteo Kaggle, sync gather %v):\n",
 		nodes, syncStats.ExposedGather())
 	for _, k := range []int{1, 2, 4, 8} {
-		m, st := run(k, true, false)
+		m, st := run(k, false)
 		parity := "bit-identical"
 		if d := hotline.MaxModelStateDiff(refM, m); d != 0 {
 			parity = fmt.Sprintf("DIVERGED %g", d)
@@ -60,7 +59,7 @@ func main() {
 	}
 
 	// The stale ablation: skip the repair and measure the divergence.
-	staleM, staleStats := run(8, true, true)
+	staleM, staleStats := run(8, true)
 	fmt.Printf("  k=8 stale mode: %d rows served stale, max |Δw| %.3g vs exact training\n",
 		staleStats.StaleRows, hotline.MaxModelStateDiff(refM, staleM))
 }

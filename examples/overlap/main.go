@@ -21,15 +21,15 @@ func main() {
 	cfg.Samples = 2048
 	const iters, batch, seed, nodes = 10, 256, 42, 4
 
-	// --- async overlap: synchronous vs prefetched gathers ---------------
-	run := func(overlap bool) (*hotline.Model, hotline.OverlapStats) {
+	// --- async overlap: synchronous (depth 1) vs prefetched gathers -----
+	run := func(depth int) (*hotline.Model, hotline.OverlapStats) {
 		svc := hotline.NewShardService(hotline.ShardConfig{
 			Nodes:      nodes,
 			CacheBytes: hotline.DefaultShardCacheBytes(cfg),
 			RowBytes:   int64(cfg.EmbedDim) * 4,
 		}, nil)
 		tr := hotline.NewHotlineShardedTrainer(hotline.NewModel(cfg, seed), 0.1, svc)
-		tr.OverlapGather = overlap
+		tr.Depth = depth
 		tr.LearnSamples = 512
 		gen := hotline.NewGenerator(cfg)
 		for i := 0; i < iters; i++ {
@@ -37,8 +37,8 @@ func main() {
 		}
 		return tr.M, svc.Gatherer().Stats()
 	}
-	syncM, syncStats := run(false)
-	overM, overStats := run(true)
+	syncM, syncStats := run(1)
+	overM, overStats := run(2)
 
 	fmt.Println("Async gather overlap (4 nodes, Criteo Kaggle):")
 	fmt.Printf("  synchronous: %5d rows gathered inline, %8v exposed\n",

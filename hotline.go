@@ -58,9 +58,6 @@ func NumWorkers() int { return par.Workers() }
 // (HotlineTrainer.Depth).
 func PipelineDepth(k int) int { return train.SetDefaultPipelineDepth(k) }
 
-// DefaultPipelineDepth returns the current default prefetch pipeline depth.
-func DefaultPipelineDepth() int { return train.DefaultPipelineDepth() }
-
 // --- datasets and generators ---------------------------------------------
 
 // DatasetConfig describes one synthetic workload (paper Table II shape).
@@ -126,31 +123,6 @@ func NewHotlineTrainer(m *Model, lr float32) *train.HotlineTrainer {
 	return train.NewHotline(m, lr)
 }
 
-// PipelinedTrainer is a Trainer with one-mini-batch lookahead: given the
-// next batch, the executor classifies it and issues its fabric prefetches
-// while the current iteration finishes (bit-identical to stepping batch by
-// batch). RunTraining feeds pipelined trainers automatically.
-type PipelinedTrainer = train.PipelinedTrainer
-
-// LookaheadTrainer is a PipelinedTrainer with a depth-k pipeline: the
-// executor stages up to k-1 future mini-batches (classification + fabric
-// prefetch), bit-identical to batch-by-batch stepping for every depth.
-// RunTraining feeds lookahead trainers that many batches ahead.
-type LookaheadTrainer = train.LookaheadTrainer
-
-// NewBaselineAdagradTrainer is the baseline executor under dense + sparse
-// Adagrad (the DLRM reference's production optimizer).
-func NewBaselineAdagradTrainer(m *Model, lr float32) Trainer {
-	return train.NewBaselineAdagrad(m, lr)
-}
-
-// NewHotlineAdagradTrainer is the Hotline µ-batch executor under dense +
-// sparse Adagrad; each table's µ-batch gradients merge into one update per
-// mini-batch, keeping parity with the Adagrad baseline.
-func NewHotlineAdagradTrainer(m *Model, lr float32) *train.HotlineTrainer {
-	return train.NewHotlineAdagrad(m, lr)
-}
-
 // RunTraining trains and returns the metric curve.
 var RunTraining = train.Run
 
@@ -199,17 +171,11 @@ var NewShardService = shard.New
 // embedding tables partitioned across the service's nodes. Training is
 // bit-identical to NewHotlineTrainer for every node count and placement;
 // the service additionally reports the measured cache and all-to-all
-// traffic. The async gather engine is attached with overlap enabled (set
-// OverlapGather = false on the returned trainer for synchronous gathers).
+// traffic. The async gather engine is attached, so gathers overlap compute
+// at the default pipeline depth; Depth = 1 on the returned trainer is the
+// synchronous ablation.
 func NewHotlineShardedTrainer(m *Model, lr float32, svc *ShardService) *train.HotlineTrainer {
 	return train.NewHotlineSharded(m, lr, svc)
-}
-
-// NewHotlineShardedAdagradTrainer is NewHotlineShardedTrainer under dense +
-// sparse Adagrad; sharded training stays bit-identical to the single-node
-// Adagrad executor (mn-adagrad scenario).
-func NewHotlineShardedAdagradTrainer(m *Model, lr float32, svc *ShardService) *train.HotlineTrainer {
-	return train.NewHotlineShardedAdagrad(m, lr, svc)
 }
 
 // ShardMeasurement carries measured sharding statistics (hit-rates,
@@ -233,19 +199,17 @@ var MeasureShard = pipeline.MeasureShard
 // NewShardedWorkload assembles a workload whose timing models consume
 // measured sharding statistics instead of analytic popularity fractions.
 // cacheBytes <= 0 selects the dataset's scaled hot-set budget. The
-// exposed-gather fraction is measured too (MeasureOverlapExposed), so the
-// Hotline model prices overlap from the pipelined engine by default.
+// exposed-gather fraction is measured too (MeasureOverlapExposedDepth at the
+// default pipeline depth), so the Hotline model prices overlap from the
+// pipelined engine by default.
 var NewShardedWorkload = pipeline.NewShardedWorkload
 
-// MeasureOverlapExposed runs the pipelined Hotline executor functionally —
-// sync vs cross-iteration prefetch — and returns the measured fraction of
-// gather wall time left exposed (memoised per dataset, node count and
-// cache budget; default pipeline depth).
-var MeasureOverlapExposed = pipeline.MeasureOverlapExposed
-
-// MeasureOverlapExposedDepth is MeasureOverlapExposed at an explicit
-// pipeline depth k (memoised per depth too): the mn-depth scenario's
-// queue-depth-vs-staleness sweep.
+// MeasureOverlapExposedDepth runs the pipelined Hotline executor
+// functionally — synchronous (depth 1) vs the depth-k prefetch pipeline —
+// and returns the measured fraction of gather wall time left exposed
+// (memoised per dataset, node count, cache budget and depth; k < 1 selects
+// the default depth): the mn-depth scenario's queue-depth-vs-staleness
+// sweep.
 var MeasureOverlapExposedDepth = pipeline.MeasureOverlapExposedDepth
 
 // NewShardedWorkloadDepth is NewShardedWorkload with the overlap measured
@@ -416,12 +380,10 @@ var MeasureChaos = pipeline.MeasureChaos
 // in-proc reference.
 type FabricMeasurement = pipeline.FabricMeasurement
 
-// MeasureFabric trains the pipelined executor over a socket fabric and the
-// in-proc reference and returns the measured wall times and parity.
-var MeasureFabric = pipeline.MeasureFabric
-
-// MeasureFabricDepth is MeasureFabric with explicit pipeline depth,
-// iteration and batch knobs.
+// MeasureFabricDepth trains the pipelined executor over a socket fabric at
+// an explicit pipeline depth, iteration count and batch size, and reports
+// the measured gather/scatter wall clock plus parity against the in-proc
+// reference.
 var MeasureFabricDepth = pipeline.MeasureFabricDepth
 
 // --- online serving and the load harness -----------------------------------

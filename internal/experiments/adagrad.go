@@ -43,10 +43,12 @@ func MNAdagrad() *report.Table {
 
 	// References: the unsharded Adagrad Hotline executor and the Adagrad
 	// baseline, trained on the identical stream.
-	ref := train.NewHotlineAdagrad(model.New(fn, seed), 0.1)
+	ref := train.NewHotline(model.New(fn, seed), 0.1)
+	ref.EnableAdagrad()
 	ref.LearnSamples = 512
 	train.Run(ref, data.NewGenerator(fn), run)
-	base := train.NewBaselineAdagrad(model.New(fn, seed), 0.1)
+	base := train.NewBaseline(model.New(fn, seed), 0.1)
+	base.EnableAdagrad()
 	train.Run(base, data.NewGenerator(fn), run)
 
 	for _, nodes := range []int{1, 2, 4} {
@@ -54,7 +56,8 @@ func MNAdagrad() *report.Table {
 			Nodes: nodes, CacheBytes: data.ScaledHotBudget(fn),
 			RowBytes: int64(fn.EmbedDim) * 4,
 		}, nil)
-		tr := train.NewHotlineShardedAdagrad(model.New(fn, seed), 0.1, svc)
+		tr := train.NewHotlineSharded(model.New(fn, seed), 0.1, svc)
+		tr.EnableAdagrad()
 		tr.LearnSamples = 512
 		curve := train.Run(tr, data.NewGenerator(fn), run)
 		last := curve[len(curve)-1]

@@ -36,9 +36,9 @@ type depthRun struct {
 }
 
 // runDepth trains the Hotline executor on sharded tables at pipeline depth
-// k (overlap=false selects the fully synchronous baseline) and evaluates
-// the final model on a held-out batch.
-func runDepth(fn data.Config, nodes, iters, batch, k int, overlap, stale bool) depthRun {
+// k (k = 1 is the fully synchronous baseline) and evaluates the final model
+// on a held-out batch.
+func runDepth(fn data.Config, nodes, iters, batch, k int, stale bool) depthRun {
 	const seed = 42
 	svc := shard.New(shard.Config{
 		Nodes: nodes, CacheBytes: data.ScaledHotBudget(fn),
@@ -46,7 +46,6 @@ func runDepth(fn data.Config, nodes, iters, batch, k int, overlap, stale bool) d
 	}, nil)
 	svc.SetStaleReads(stale)
 	tr := train.NewHotlineSharded(model.New(fn, seed), 0.1, svc)
-	tr.OverlapGather = overlap
 	tr.Depth = k
 	tr.LearnSamples = 512
 	gen := data.NewGenerator(fn)
@@ -95,17 +94,17 @@ func MNDepth() *report.Table {
 	const nodes, iters, batch = 4, 10, 256
 	sys := cost.PaperCluster(nodes)
 
-	sync := runDepth(fn, nodes, iters, batch, 1, false, false)
+	sync := runDepth(fn, nodes, iters, batch, 1, false)
 
 	for _, k := range mnDepthSweep {
-		// Depth 1 runs the synchronous code path verbatim (its single
-		// window belongs to the consuming forward), so the sync baseline
-		// IS its repair and stale run — the row anchors at exactly 100%
-		// exposure with no repair and no staleness.
+		// The sync baseline is the depth-1 run (its single window belongs
+		// to the consuming forward), so it IS the k=1 repair and stale
+		// run — the row anchors at exactly 100% exposure with no repair
+		// and no staleness.
 		repair, staleR := sync, sync
 		if k > 1 {
-			repair = runDepth(fn, nodes, iters, batch, k, true, false)
-			staleR = runDepth(fn, nodes, iters, batch, k, true, true)
+			repair = runDepth(fn, nodes, iters, batch, k, false)
+			staleR = runDepth(fn, nodes, iters, batch, k, true)
 		}
 
 		exposedFrac := shard.ExposedFrac(repair.stats, sync.stats)

@@ -83,28 +83,30 @@ func MNOverlap() *report.Table {
 	const iters, batch, seed = 10, 256, 42
 
 	for _, nodes := range []int{2, 4} {
-		runOne := func(overlap bool) (*train.HotlineTrainer, shard.OverlapStats) {
+		runOne := func(depth int) (*train.HotlineTrainer, shard.OverlapStats) {
 			svc := shard.New(shard.Config{
 				Nodes: nodes, CacheBytes: data.ScaledHotBudget(fn),
 				RowBytes: int64(fn.EmbedDim) * 4,
 			}, nil)
 			tr := train.NewHotlineSharded(model.New(fn, seed), 0.1, svc)
-			tr.OverlapGather = overlap
+			tr.Depth = depth
 			tr.LearnSamples = 512 // past the learning phase quickly
 			gen := data.NewGenerator(fn)
 			b := gen.NextBatch(batch)
+			var next [1]*data.Batch
 			for i := 1; i <= iters; i++ {
-				var next *data.Batch
+				ahead := next[:0]
 				if i < iters {
-					next = gen.NextBatch(batch)
+					next[0] = gen.NextBatch(batch)
+					ahead = next[:]
 				}
-				tr.StepPipelined(b, next)
-				b = next
+				tr.StepLookahead(b, ahead)
+				b = next[0]
 			}
 			return tr, svc.Gatherer().Stats()
 		}
-		sync, syncStats := runOne(false)
-		over, overStats := runOne(true)
+		sync, syncStats := runOne(1)
+		over, overStats := runOne(train.DefaultPipelineDepth())
 
 		// Total exposed gather per run: inline (synchronous) staged gathers
 		// plus, for the overlap run, the time Forward blocked on prefetch

@@ -105,7 +105,6 @@ func MeasureChaos(cfg data.Config, nodes, depth int, network string,
 			svc.SetTransport(rt)
 		}
 		t := train.NewHotlineSharded(model.New(fn, seed), 0.1, svc)
-		t.OverlapGather = true
 		t.Depth = depth
 		t.LearnSamples = 512
 		gen := data.NewGenerator(fn)

@@ -49,12 +49,6 @@ func fabricProbeShape(cfg data.Config) data.Config {
 	return fn
 }
 
-// MeasureFabric is MeasureFabricDepth for one transport network at the
-// given node count, with the probe's default iteration budget.
-func MeasureFabric(cfg data.Config, nodes, depth int, network string) (FabricMeasurement, error) {
-	return MeasureFabricDepth(cfg, nodes, depth, network, 8, 256)
-}
-
 // MeasureFabricDepth trains the pipelined Hotline executor functionally on a
 // down-scaled copy of cfg twice over sharded services — once on the in-proc
 // fast path as the reference, once over the requested fabric network
@@ -100,7 +94,6 @@ func MeasureFabricOver(cfg data.Config, nodes, depth int, iters, batch int, fabr
 		}
 		defer svc.Close()
 		t := train.NewHotlineSharded(model.New(fn, seed), 0.1, svc)
-		t.OverlapGather = true
 		t.Depth = depth
 		t.LearnSamples = 512
 		gen := data.NewGenerator(fn)

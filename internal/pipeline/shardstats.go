@@ -293,26 +293,18 @@ var overlapCache sync.Map // string -> float64
 // overlapMu serialises first-time overlap measurement.
 var overlapMu sync.Mutex
 
-// MeasureOverlapExposed is MeasureOverlapExposedDepth at the executors'
-// current default pipeline depth (train.DefaultPipelineDepth — 2 unless
-// hotline.PipelineDepth / hotline-bench -depth moved it), so workloads
-// price the overlap of the pipeline the executors actually run.
-func MeasureOverlapExposed(cfg data.Config, nodes int, cacheBytes int64) float64 {
-	return MeasureOverlapExposedDepth(cfg, nodes, cacheBytes, train.DefaultPipelineDepth())
-}
-
 // MeasureOverlapExposedDepth trains the pipelined Hotline executor
 // functionally on a down-sampled copy of cfg over a sharded service with
 // the given per-node device-cache budget (<= 0 selects the scaled hot-set
-// default) — once with synchronous staged gathers, once with the depth-k
-// prefetch pipeline (classification and fabric gathers for the next k-1
-// mini-batches issued while iteration i finishes, dirty rows delta-
-// repaired) — and returns the measured fraction of gather wall time the
-// pipeline left exposed, in [0, 1]. Both the cache budget and the depth
-// are part of the memo identity: a cache-starved topology has far more
-// gather traffic to hide, and a deeper pipeline has more compute to hide
-// it under, so exposure must be measured under the same knobs the
-// workload's gather stats were.
+// default) — once at depth 1 (synchronous staged gathers), once with the
+// depth-k prefetch pipeline (classification and fabric gathers for the
+// next k-1 mini-batches issued while iteration i finishes, dirty rows
+// delta-repaired; k < 1 selects train.DefaultPipelineDepth) — and returns
+// the measured fraction of gather wall time the pipeline left exposed, in
+// [0, 1]. Both the cache budget and the depth are part of the memo
+// identity: a cache-starved topology has far more gather traffic to hide,
+// and a deeper pipeline has more compute to hide it under, so exposure
+// must be measured under the same knobs the workload's gather stats were.
 //
 // The probe shrinks the MLPs (the access stream, and therefore the gather
 // traffic, is untouched); less compute per iteration means less time to
@@ -352,13 +344,12 @@ func MeasureOverlapExposedDepth(cfg data.Config, nodes int, cacheBytes int64, de
 	fn.BotMLP = []int{cfg.BotMLP[0], 64, cfg.EmbedDim}
 	fn.TopMLP = []int{64, 1}
 	const iters, batch, seed = 8, 256, 42
-	runOne := func(overlap bool) shard.OverlapStats {
+	runOne := func(depth int) shard.OverlapStats {
 		svc := shard.New(shard.Config{
 			Nodes: nodes, CacheBytes: cacheBytes,
 			RowBytes: int64(fn.EmbedDim) * 4,
 		}, nil)
 		tr := train.NewHotlineSharded(model.New(fn, seed), 0.1, svc)
-		tr.OverlapGather = overlap
 		tr.Depth = depth
 		tr.LearnSamples = 512
 		gen := data.NewGenerator(fn)
@@ -375,8 +366,8 @@ func MeasureOverlapExposedDepth(cfg data.Config, nodes int, cacheBytes int64, de
 		}
 		return svc.Gatherer().Stats()
 	}
-	syncStats := runOne(false)
-	overStats := runOne(true)
+	syncStats := runOne(1)
+	overStats := runOne(depth)
 	f := shard.ExposedFrac(overStats, syncStats)
 	overlapCache.Store(key, f)
 	return f

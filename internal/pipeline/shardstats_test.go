@@ -240,13 +240,13 @@ func TestShardedWorkloadMeasuresOverlap(t *testing.T) {
 }
 
 // TestMeasureOverlapExposedDepthKeyed: the depth is part of the overlap
-// memo identity — each k gets its own measurement — and the default-depth
-// helpers agree with the explicit depth-2 probe.
+// memo identity — each k gets its own measurement — and the default depth
+// (k < 1) agrees with the explicit depth-2 probe.
 func TestMeasureOverlapExposedDepthKeyed(t *testing.T) {
 	cfg := data.CriteoKaggle()
 	f2 := MeasureOverlapExposedDepth(cfg, 2, 0, 2)
-	if got := MeasureOverlapExposed(cfg, 2, 0); got != f2 {
-		t.Fatalf("default-depth helper diverged: %v vs %v", got, f2)
+	if got := MeasureOverlapExposedDepth(cfg, 2, 0, 0); got != f2 {
+		t.Fatalf("default depth diverged from the explicit depth-2 probe: %v vs %v", got, f2)
 	}
 	if got := MeasureOverlapExposedDepth(cfg, 2, 0, 2); got != f2 {
 		t.Fatalf("depth measurement not memoised: %v vs %v", got, f2)

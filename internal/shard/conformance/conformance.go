@@ -100,7 +100,6 @@ func trainOver(tb testing.TB, s Suite, cfg data.Config, nodes, depth int, part s
 		}
 	}()
 	t := train.NewHotlineSharded(model.New(cfg, probeSeed), 0.1, svc)
-	t.OverlapGather = true
 	t.Depth = depth
 	t.LearnSamples = probeLearn
 	batches := probeBatches(cfg)

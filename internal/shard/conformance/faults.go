@@ -234,7 +234,6 @@ func RunFaults(t *testing.T, network string) {
 		svc.SetTransport(fab.Transport)
 		defer svc.Close()
 		tr := train.NewHotlineSharded(model.New(cfg, probeSeed), 0.1, svc)
-		tr.OverlapGather = true
 		tr.Depth = 2
 		tr.LearnSamples = probeLearn
 		gen := data.NewGenerator(cfg)

@@ -105,7 +105,6 @@ func trainChaos(tb testing.TB, network string, nodes, depth int, part shard.Part
 	}()
 
 	t := train.NewHotlineSharded(model.New(cfg, probeSeed), 0.1, svc)
-	t.OverlapGather = true
 	t.Depth = depth
 	t.LearnSamples = probeLearn
 	batches := probeBatches(cfg)

@@ -100,18 +100,19 @@ func HotlineTrainStep(b *testing.B) {
 }
 
 // HotlineTrainStepPipelined is HotlineTrainStep through the
-// cross-iteration pipelined entry point (lookahead staged every step).
+// cross-iteration pipelined entry point (StepLookahead with one batch
+// staged every step).
 func HotlineTrainStepPipelined(b *testing.B) {
 	cfg := benchTrainCfg()
 	tr := train.NewHotline(model.New(cfg, 1), 0.1)
 	gen := data.NewGenerator(cfg)
 	cur := gen.NextBatch(64)
-	next := gen.NextBatch(64)
+	ahead := []*data.Batch{gen.NextBatch(64)}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tr.StepPipelined(cur, next)
-		cur, next = next, cur
+		tr.StepLookahead(cur, ahead)
+		cur, ahead[0] = ahead[0], cur
 	}
 }
 

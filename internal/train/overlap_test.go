@@ -48,13 +48,13 @@ func TestOverlapDeterminism(t *testing.T) {
 
 	for _, hotAware := range []bool{false, true} {
 		for _, nodes := range []int{1, 2, 4, 8} {
-			run := func(overlap bool) (*model.Model, shard.OverlapStats) {
+			run := func(depth int) (*model.Model, shard.OverlapStats) {
 				svc := shard.New(shard.Config{
 					Nodes: nodes, CacheBytes: 64 << 10, RowBytes: int64(cfg.EmbedDim) * 4,
 					Part: buildPartitioner(t, cfg, nodes, iters, batch, hotAware),
 				}, nil)
 				tr := NewHotlineSharded(model.New(cfg, seed), 0.1, svc)
-				tr.OverlapGather = overlap
+				tr.Depth = depth
 				tr.LearnSamples = 512 // the EAL's minimum useful warm-up
 				gen := data.NewGenerator(cfg)
 				for i := 0; i < iters; i++ {
@@ -62,8 +62,8 @@ func TestOverlapDeterminism(t *testing.T) {
 				}
 				return tr.M, svc.Gatherer().Stats()
 			}
-			sync, syncStats := run(false)
-			over, overStats := run(true)
+			sync, syncStats := run(1)
+			over, overStats := run(2)
 			if !model.DenseStateEqual(sync, over) {
 				t.Fatalf("nodes=%d hotAware=%v: dense state diverged", nodes, hotAware)
 			}
@@ -103,13 +103,13 @@ func TestPipelinedOverlapDeterminism(t *testing.T) {
 
 	for _, hotAware := range []bool{false, true} {
 		for _, nodes := range []int{1, 2, 4, 8} {
-			newTrainer := func(overlap bool) (*HotlineTrainer, *shard.Service) {
+			newTrainer := func(depth int) (*HotlineTrainer, *shard.Service) {
 				svc := shard.New(shard.Config{
 					Nodes: nodes, CacheBytes: 64 << 10, RowBytes: int64(cfg.EmbedDim) * 4,
 					Part: buildPartitioner(t, cfg, nodes, iters, batch, hotAware),
 				}, nil)
 				tr := NewHotlineSharded(model.New(cfg, seed), 0.1, svc)
-				tr.OverlapGather = overlap
+				tr.Depth = depth
 				tr.LearnSamples = 512
 				return tr, svc
 			}
@@ -123,14 +123,13 @@ func TestPipelinedOverlapDeterminism(t *testing.T) {
 			}()
 
 			// Synchronous batch-by-batch reference.
-			ref, _ := newTrainer(false)
+			ref, _ := newTrainer(1)
 			for i := 0; i < iters; i++ {
 				ref.Step(batches[i])
 			}
 
 			for _, k := range []int{1, 2, 4, 8} {
-				tr, svc := newTrainer(true)
-				tr.Depth = k
+				tr, svc := newTrainer(k)
 				for i := 0; i < iters; i++ {
 					end := i + k
 					if end > iters {
@@ -215,7 +214,7 @@ func TestDeepPipelineRepairAndStaleness(t *testing.T) {
 	}
 }
 
-// TestPipelinedSpeculationMiss drives StepPipelined with a lookahead batch
+// TestPipelinedSpeculationMiss drives StepLookahead with a lookahead batch
 // that is NOT the one trained next: the stale prefetch windows must be
 // joined and discarded (never consumed against moved weights), and training
 // must keep matching a non-speculating executor fed the same EAL stream.
@@ -252,7 +251,7 @@ func TestPipelinedSpeculationMiss(t *testing.T) {
 
 	for i := 0; i < iters; i++ {
 		// Speculate on a decoy batch that will never be trained.
-		tr.StepPipelined(batches[i], decoyGen.NextBatch(batch))
+		tr.StepLookahead(batches[i], []*data.Batch{decoyGen.NextBatch(batch)})
 
 		ref.Step(batches[i])
 		ref.learn(refDecoy.NextBatch(batch)) // mirror the decoy's EAL feed

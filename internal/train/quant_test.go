@@ -52,7 +52,7 @@ func TestPipelinedQuantizedDeterminism(t *testing.T) {
 	}()
 
 	for _, q := range []shard.QuantMode{shard.QuantFP16, shard.QuantINT8, shard.QuantMixed} {
-		newTrainer := func(overlap bool) (*HotlineTrainer, *shard.Service) {
+		newTrainer := func(depth int) (*HotlineTrainer, *shard.Service) {
 			var hot shard.HotClassifier
 			if q == shard.QuantMixed {
 				hot = modHot{} // a nil classifier would degenerate Mixed to all-fp32
@@ -62,13 +62,13 @@ func TestPipelinedQuantizedDeterminism(t *testing.T) {
 				Quant: q,
 			}, hot)
 			tr := NewHotlineSharded(model.New(cfg, seed), 0.1, svc)
-			tr.OverlapGather = overlap
+			tr.Depth = depth
 			tr.LearnSamples = 512
 			return tr, svc
 		}
 
 		// Synchronous batch-by-batch reference at this quant mode.
-		ref, refSvc := newTrainer(false)
+		ref, refSvc := newTrainer(1)
 		for i := 0; i < iters; i++ {
 			ref.Step(batches[i])
 		}
@@ -83,8 +83,7 @@ func TestPipelinedQuantizedDeterminism(t *testing.T) {
 		}
 
 		for _, k := range []int{1, 2, 4, 8} {
-			tr, svc := newTrainer(true)
-			tr.Depth = k
+			tr, svc := newTrainer(k)
 			for i := 0; i < iters; i++ {
 				end := i + k
 				if end > iters {

@@ -54,15 +54,12 @@ func TestMixedServeTrainingParity(t *testing.T) {
 			}()
 		}
 		for i, b := range batches {
-			var next *data.Batch
-			if i+1 < iters {
-				next = batches[i+1]
-			}
+			ahead := batches[i+1:]
 			if !mixed {
-				losses[i] = tr.StepPipelined(b, next)
+				losses[i] = tr.StepLookahead(b, ahead)
 				continue
 			}
-			srv.Train(func() { losses[i] = tr.StepPipelined(b, next) })
+			srv.Train(func() { losses[i] = tr.StepLookahead(b, ahead) })
 			// One synchronous predict per iteration with the next window
 			// already staged: it must not consume it.
 			srv.Predict(corpus.Requests[i%corpus.Len()].Batch)

@@ -13,26 +13,15 @@ import (
 // and all-to-all traffic — so the Eq. 5 parity argument carries over
 // unchanged while svc.Snapshot() reports what the topology actually moved.
 //
-// The service's async gather engine is attached and overlap enabled: the
-// non-popular µ-batch's fabric gathers stream while the popular µ-batch
-// computes, and svc.Gatherer().Stats() reports how much gather time stayed
-// exposed. Set OverlapGather = false for the synchronous ablation (same
-// traffic, fully exposed gathers).
+// The service's async gather engine is attached: the non-popular
+// µ-batch's fabric gathers stream while the popular µ-batch computes, and
+// svc.Gatherer().Stats() reports how much gather time stayed exposed. Set
+// Depth = 1 for the synchronous ablation (same traffic, fully exposed
+// gathers).
 func NewHotlineSharded(m *model.Model, lr float32, svc *shard.Service) *HotlineTrainer {
 	svc.EnableAsyncGather()
 	m.ShardEmbeddings(svc)
 	t := NewHotline(m, lr)
 	t.Shard = svc
-	t.OverlapGather = true
-	return t
-}
-
-// NewHotlineShardedAdagrad is NewHotlineSharded under dense + sparse
-// Adagrad (the mn-adagrad scenario's executor). The sparse accumulators are
-// globally indexed, so sharded training matches the single-node Adagrad
-// executor bit for bit, like the SGD path.
-func NewHotlineShardedAdagrad(m *model.Model, lr float32, svc *shard.Service) *HotlineTrainer {
-	t := NewHotlineSharded(m, lr, svc)
-	t.EnableAdagrad()
 	return t
 }

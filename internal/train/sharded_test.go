@@ -92,7 +92,8 @@ func TestShardedAdagradTrainerParity(t *testing.T) {
 	cfg := shardedCfg()
 	const seed, iters, batch = 77, 4, 64
 
-	ref := NewHotlineAdagrad(model.New(cfg, seed), 0.1)
+	ref := NewHotline(model.New(cfg, seed), 0.1)
+	ref.EnableAdagrad()
 	refGen := data.NewGenerator(cfg)
 	for i := 0; i < iters; i++ {
 		ref.Step(refGen.NextBatch(batch))
@@ -102,16 +103,15 @@ func TestShardedAdagradTrainerParity(t *testing.T) {
 		svc := shard.New(shard.Config{
 			Nodes: nodes, CacheBytes: 64 << 10, RowBytes: int64(cfg.EmbedDim) * 4,
 		}, nil)
-		hot := NewHotlineShardedAdagrad(model.New(cfg, seed), 0.1, svc)
+		hot := NewHotlineSharded(model.New(cfg, seed), 0.1, svc)
+		hot.EnableAdagrad()
 		gen := data.NewGenerator(cfg)
-		b := gen.NextBatch(batch)
-		for i := 1; i <= iters; i++ {
-			var next *data.Batch
-			if i < iters {
-				next = gen.NextBatch(batch)
-			}
-			hot.StepPipelined(b, next) // the pipeline must hold for Adagrad too
-			b = next
+		batches := make([]*data.Batch, iters)
+		for i := range batches {
+			batches[i] = gen.NextBatch(batch)
+		}
+		for i, b := range batches {
+			hot.StepLookahead(b, batches[i+1:]) // the pipeline must hold for Adagrad too
 		}
 		if !model.DenseStateEqual(ref.M, hot.M) || !model.SparseStateEqual(ref.M, hot.M) {
 			t.Fatalf("nodes=%d: sharded Adagrad training diverged from unsharded executor", nodes)

@@ -24,35 +24,6 @@ type Trainer interface {
 	Model() *model.Model
 }
 
-// PipelinedTrainer is a Trainer that can look one mini-batch ahead: while
-// the caller consumes iteration i's result, the executor has already
-// classified mini-batch i+1 and issued its fabric prefetches. Run feeds
-// pipelined trainers automatically.
-type PipelinedTrainer interface {
-	Trainer
-	// StepPipelined trains on b and then stages next (classification +
-	// cross-iteration gather prefetch); pass nil for the final batch.
-	// Training state is bit-identical to calling Step(b) for every batch.
-	StepPipelined(b, next *data.Batch) float64
-}
-
-// LookaheadTrainer is a PipelinedTrainer whose pipeline is k windows deep:
-// the executor stages up to Lookahead() = k-1 future mini-batches
-// (classification + fabric prefetch) while the current iteration finishes.
-// Run feeds lookahead trainers that many batches ahead. Training state is
-// bit-identical to batch-by-batch stepping for every depth — staged rows
-// that later sparse updates rewrite are delta-repaired before use.
-type LookaheadTrainer interface {
-	PipelinedTrainer
-	// Lookahead returns how many batches ahead the executor stages
-	// (pipeline depth minus one; 0 disables cross-iteration staging).
-	Lookahead() int
-	// StepLookahead trains on b; lookahead holds the following batches in
-	// stream order (it may be shorter than Lookahead() near the end of the
-	// stream, and extra entries beyond it are ignored).
-	StepLookahead(b *data.Batch, lookahead []*data.Batch) float64
-}
-
 // defaultPipelineDepth is the pipeline depth executors start with; zero
 // reads as the depth-2 default (the classic cross-iteration pipeline, one
 // mini-batch of lookahead). Atomic like par's worker knob: workloads and
@@ -114,13 +85,6 @@ type Baseline struct {
 
 // NewBaseline wraps a model in the standard executor.
 func NewBaseline(m *model.Model, lr float32) *Baseline { return &Baseline{M: m, LR: lr} }
-
-// NewBaselineAdagrad is NewBaseline with dense and sparse Adagrad.
-func NewBaselineAdagrad(m *model.Model, lr float32) *Baseline {
-	t := NewBaseline(m, lr)
-	t.EnableAdagrad()
-	return t
-}
 
 // EnableAdagrad switches the executor to dense + sparse Adagrad (the DLRM
 // reference's production optimizer). Must be called before the first Step.
@@ -201,6 +165,10 @@ type stagedBatch struct {
 // (shard.WindowQueue) — unless the service opts into stale reads, which
 // trades exactness for the repair traffic and is measured, not assumed.
 //
+// Depth = 1 is the synchronous ablation: the pipeline's only window
+// belongs to the consuming forward, so every gather is issued inline and
+// stays fully exposed — same traffic, same training state.
+//
 // Step scratch (µ-batch buffers, classification copies, loss gradients,
 // the lookahead ring) is reused across steps; the steady-state loop
 // performs no allocations at Parallelism(1) for any depth.
@@ -233,15 +201,6 @@ type HotlineTrainer struct {
 	// all-to-all traffic of the run.
 	Shard *shard.Service
 
-	// OverlapGather, on a sharded service with an async engine, prefetches
-	// the non-popular µ-batch's remote embedding rows so the fabric gather
-	// streams while compute runs — within the iteration when stepping
-	// batch-by-batch, across iterations under StepPipelined/StepLookahead.
-	// Training state is bit-identical with the flag on or off
-	// (TestOverlapDeterminism); only the measured exposed-gather time
-	// changes. NewHotlineSharded enables it.
-	OverlapGather bool
-
 	// stats
 	PopularInputs, TotalInputs int64
 
@@ -259,7 +218,6 @@ type HotlineTrainer struct {
 	ring   []stagedBatch
 	head   int
 	staged int
-	look1  [1]*data.Batch // StepPipelined's lookahead scratch
 }
 
 // NewHotline wraps a model in the Hotline executor with a default
@@ -270,13 +228,6 @@ func NewHotline(m *model.Model, lr float32) *HotlineTrainer {
 		M: m, LR: lr, Acc: accel.New(cfg), LearnSamples: 1536,
 		Depth: DefaultPipelineDepth(),
 	}
-}
-
-// NewHotlineAdagrad is NewHotline with dense and sparse Adagrad.
-func NewHotlineAdagrad(m *model.Model, lr float32) *HotlineTrainer {
-	t := NewHotline(m, lr)
-	t.EnableAdagrad()
-	return t
 }
 
 // EnableAdagrad switches the executor to dense + sparse Adagrad. The
@@ -325,22 +276,6 @@ func (t *HotlineTrainer) learn(b *data.Batch) {
 //hotline:hotpath
 func (t *HotlineTrainer) Step(b *data.Batch) float64 { return t.StepLookahead(b, nil) }
 
-// StepPipelined implements PipelinedTrainer: StepLookahead with a
-// one-batch lookahead (the classic two-deep pipeline when Depth >= 2).
-//
-//hotline:hotpath
-func (t *HotlineTrainer) StepPipelined(b, next *data.Batch) float64 {
-	if next == nil {
-		return t.StepLookahead(b, nil)
-	}
-	t.look1[0] = next
-	return t.StepLookahead(b, t.look1[:])
-}
-
-// Lookahead implements LookaheadTrainer: the executor stages Depth-1
-// batches ahead.
-func (t *HotlineTrainer) Lookahead() int { return t.depth() - 1 }
-
 // depth normalises the public Depth knob.
 //
 //hotline:hotpath
@@ -351,10 +286,13 @@ func (t *HotlineTrainer) depth() int {
 	return t.Depth
 }
 
-// StepLookahead implements LookaheadTrainer: a full training step on b,
-// then the lookahead — accelerator learning + classification + fabric
-// prefetch for every not-yet-staged batch of `lookahead`, up to Depth-1
-// ahead. See the type comment for the determinism argument.
+// StepLookahead is the executor's pipelined entry point: a full training
+// step on b, then the lookahead — accelerator learning + classification +
+// fabric prefetch for every not-yet-staged batch of `lookahead`, up to
+// Depth-1 ahead. lookahead holds the batches following b in stream order;
+// it may be shorter than Depth-1 near the end of the stream, and entries
+// beyond Depth-1 are ignored. Training state is bit-identical to calling
+// Step for every batch; see the type comment for the argument.
 //
 //hotline:hotpath
 func (t *HotlineTrainer) StepLookahead(b *data.Batch, lookahead []*data.Batch) float64 {
@@ -573,7 +511,7 @@ func (t *HotlineTrainer) runSplit(b *data.Batch, pop []int, nonSub *data.Batch, 
 //
 //hotline:hotpath
 func (t *HotlineTrainer) overlapReady() bool {
-	return t.OverlapGather && t.Shard != nil && t.Shard.Gatherer() != nil
+	return t.Shard != nil && t.Shard.Gatherer() != nil
 }
 
 // passOn subsets idx out of b into the executor's popular-side buffer and
@@ -613,11 +551,11 @@ type RunConfig struct {
 }
 
 // Run trains for cfg.Iters mini-batches from gen, evaluating on a held-out
-// batch every EvalEvery iterations, and returns the metric curve. Trainers
-// implementing PipelinedTrainer are fed one batch ahead — and
-// LookaheadTrainers as many batches ahead as their pipeline depth stages —
-// so the executor's lookahead (classification + cross-iteration prefetch)
-// overlaps the caller's evaluation and batch generation; the batch stream
+// batch every EvalEvery iterations, and returns the metric curve. A
+// HotlineTrainer is fed through StepLookahead as many batches ahead as its
+// pipeline depth stages, so the executor's lookahead (classification +
+// cross-iteration prefetch) overlaps the caller's evaluation and batch
+// generation; any other Trainer is stepped batch by batch. The batch stream
 // and the training math are identical for every depth.
 func Run(t Trainer, gen *data.Generator, cfg RunConfig) []CurvePoint {
 	if cfg.Iters <= 0 {
@@ -637,19 +575,10 @@ func Run(t Trainer, gen *data.Generator, cfg RunConfig) []CurvePoint {
 	evalGen.NextBatch(cfg.EvalSize)
 	evalBatch := evalGen.NextBatch(cfg.EvalSize)
 
-	pt, pipelined := t.(PipelinedTrainer)
-	ahead := 0
-	var lt LookaheadTrainer
-	if pipelined {
-		ahead = 1
-		if x, ok := t.(LookaheadTrainer); ok {
-			lt = x
-			ahead = x.Lookahead()
-		}
-	}
-	fill := ahead
-	if fill < 1 {
-		fill = 1 // even unpipelined stepping advances through `future`
+	ht, _ := t.(*HotlineTrainer)
+	fill := 1 // even batch-by-batch stepping advances through `future`
+	if ht != nil {
+		fill = max(ht.depth()-1, 1)
 	}
 	var curve []CurvePoint
 	var lastLoss float64
@@ -663,16 +592,9 @@ func Run(t Trainer, gen *data.Generator, cfg RunConfig) []CurvePoint {
 			future = append(future, gen.NextBatch(cfg.BatchSize))
 			drawn++
 		}
-		switch {
-		case lt != nil && ahead != 1:
-			lastLoss = lt.StepLookahead(b, future)
-		case pipelined:
-			var next *data.Batch
-			if len(future) > 0 {
-				next = future[0]
-			}
-			lastLoss = pt.StepPipelined(b, next)
-		default:
+		if ht != nil {
+			lastLoss = ht.StepLookahead(b, future)
+		} else {
 			lastLoss = t.Step(b)
 		}
 		if i%cfg.EvalEvery == 0 || i == cfg.Iters {
@@ -709,14 +631,6 @@ type ParityReport struct {
 func Parity(cfg data.Config, seed uint64, run RunConfig) ParityReport {
 	base := NewBaseline(model.New(cfg, seed), 0.1)
 	hot := NewHotline(model.New(cfg, seed), 0.1)
-	return parityOf(base, hot, cfg, run)
-}
-
-// ParityAdagrad is Parity under dense + sparse Adagrad on both executors
-// (the mn-adagrad scenario's accuracy check).
-func ParityAdagrad(cfg data.Config, seed uint64, run RunConfig) ParityReport {
-	base := NewBaselineAdagrad(model.New(cfg, seed), 0.1)
-	hot := NewHotlineAdagrad(model.New(cfg, seed), 0.1)
 	return parityOf(base, hot, cfg, run)
 }
 

@@ -6,6 +6,7 @@ import (
 
 	"hotline/internal/data"
 	"hotline/internal/model"
+	"hotline/internal/shard"
 )
 
 func tinyCfg() data.Config {
@@ -101,6 +102,51 @@ func TestRunProducesCurve(t *testing.T) {
 	for _, p := range curve {
 		if p.Metrics.AUC < 0.3 || p.Metrics.AUC > 1 {
 			t.Fatalf("implausible AUC %g", p.Metrics.AUC)
+		}
+	}
+}
+
+// TestRunDepthBitIdentical pins Run's single step path: a sharded Hotline
+// executor fed through StepLookahead at Depth 1 (the synchronous ablation),
+// 2 and 4 returns bit-identical curves — every loss and metric — and
+// bit-identical final state, while the deeper runs really stage prefetch
+// windows.
+func TestRunDepthBitIdentical(t *testing.T) {
+	cfg := tinyCfg()
+	const seed = 5
+	run := RunConfig{BatchSize: 48, Iters: 12, EvalEvery: 3, EvalSize: 256}
+	runAt := func(depth int) ([]CurvePoint, *model.Model, shard.OverlapStats) {
+		svc := shard.New(shard.Config{
+			Nodes: 4, CacheBytes: 32 << 10, RowBytes: int64(cfg.EmbedDim) * 4,
+		}, nil)
+		tr := NewHotlineSharded(model.New(cfg, seed), 0.1, svc)
+		tr.Depth = depth
+		tr.LearnSamples = 96
+		curve := Run(tr, data.NewGenerator(cfg), run)
+		return curve, tr.M, svc.Gatherer().Stats()
+	}
+	ref, refM, refStats := runAt(1)
+	if len(ref) != 4 {
+		t.Fatalf("depth 1: curve has %d points, want 4", len(ref))
+	}
+	if refStats.Windows != 0 {
+		t.Fatalf("depth 1 must not prefetch: %+v", refStats)
+	}
+	for _, depth := range []int{1, 2, 4} {
+		curve, m, st := runAt(depth)
+		if len(curve) != len(ref) {
+			t.Fatalf("depth %d: %d curve points, want %d", depth, len(curve), len(ref))
+		}
+		for i := range curve {
+			if curve[i] != ref[i] {
+				t.Fatalf("depth %d point %d: %+v, want %+v", depth, i, curve[i], ref[i])
+			}
+		}
+		if d := model.MaxStateDiff(refM, m); d != 0 {
+			t.Fatalf("depth %d: final state diverged by %g", depth, d)
+		}
+		if depth > 1 && st.Windows == 0 {
+			t.Fatalf("depth %d: Run staged no prefetch windows", depth)
 		}
 	}
 }
