@@ -90,6 +90,10 @@ func BenchmarkHotlineTrainStepPipelined(b *testing.B) { microbench.HotlineTrainS
 // lookahead pipeline (three mini-batches staged ahead every step).
 func BenchmarkHotlineTrainStepDepth4(b *testing.B) { microbench.HotlineTrainStepDepth4(b) }
 
+// BenchmarkDenseLinearRM2 measures Forward plus Backward through the RM2
+// paper MLPs at batch 128 on ReLU-sparse inputs (the dense GEMM kernels).
+func BenchmarkDenseLinearRM2(b *testing.B) { microbench.DenseLinearRM2(b) }
+
 // BenchmarkShardedPrefetchWindow measures one async gather window end to
 // end on a 4-node service (plan → queues → staging → consume → release).
 func BenchmarkShardedPrefetchWindow(b *testing.B) { microbench.ShardedPrefetchWindow(b) }

@@ -12,6 +12,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
 
 	"hotline"
@@ -30,6 +31,14 @@ func main() {
 
 	if *batch < 1 {
 		fmt.Fprintf(os.Stderr, "hotline-train: -batch must be >= 1, got %d\n", *batch)
+		os.Exit(2)
+	}
+	if *iters < 1 {
+		fmt.Fprintf(os.Stderr, "hotline-train: -iters must be >= 1, got %d\n", *iters)
+		os.Exit(2)
+	}
+	if !(*lr > 0) || math.IsInf(*lr, 1) {
+		fmt.Fprintf(os.Stderr, "hotline-train: -lr must be finite and > 0, got %g\n", *lr)
 		os.Exit(2)
 	}
 	hotline.Parallelism(*parallel)

@@ -7,11 +7,17 @@ import (
 )
 
 // AUC computes the area under the ROC curve via the rank-statistic
-// formulation, with proper tie handling (average ranks). Returns 0.5 when
-// one class is absent.
+// formulation, with proper tie handling (average ranks). Returns NaN when
+// any score is NaN (a diverged model has no ranking), else 0.5 when one
+// class is absent.
 func AUC(scores []float32, labels []float32) float64 {
 	if len(scores) != len(labels) {
 		panic(fmt.Sprintf("metrics: AUC %d scores vs %d labels", len(scores), len(labels)))
+	}
+	for _, s := range scores {
+		if s != s {
+			return math.NaN()
+		}
 	}
 	n := len(scores)
 	idx := make([]int, n)
@@ -23,7 +29,7 @@ func AUC(scores []float32, labels []float32) float64 {
 	// Average ranks over ties.
 	ranks := make([]float64, n)
 	for i := 0; i < n; {
-		j := i
+		j := i + 1 // a tie group holds at least its first element
 		for j < n && scores[idx[j]] == scores[idx[i]] {
 			j++
 		}

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"hotline/internal/tensor"
 )
@@ -109,5 +110,31 @@ func TestEvaluateBundle(t *testing.T) {
 	}
 	if s.String() == "" {
 		t.Fatal("String should render")
+	}
+}
+
+// TestAUCNaNScoreReturnsNaN: a NaN score (a diverged model) must yield a
+// NaN AUC promptly. NaN compares unequal to itself, which once left the
+// tie loop without progress, so the call runs under a deadline and fails
+// instead of hanging.
+func TestAUCNaNScoreReturnsNaN(t *testing.T) {
+	nan := float32(math.NaN())
+	cases := [][]float32{
+		{nan, nan, nan, nan},
+		{0.1, nan, 0.9, 0.4},
+		{nan, 0.2, 0.2, 0.7},
+	}
+	labels := []float32{0, 1, 0, 1}
+	for _, scores := range cases {
+		done := make(chan float64, 1)
+		go func() { done <- AUC(scores, labels) }()
+		select {
+		case a := <-done:
+			if !math.IsNaN(a) {
+				t.Fatalf("AUC(%v) = %g, want NaN", scores, a)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("AUC(%v) did not return within 5s", scores)
+		}
 	}
 }

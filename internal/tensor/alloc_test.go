@@ -1,6 +1,10 @@
 package tensor
 
-import "testing"
+import (
+	"testing"
+
+	"hotline/internal/par"
+)
 
 // TestQuantKernelsZeroAlloc gates every quantization kernel at 0 allocs/op:
 // they run inside the fused dequantize-gather on the prefetch hot path, so
@@ -26,5 +30,26 @@ func TestQuantKernelsZeroAlloc(t *testing.T) {
 	}
 	if scale == 0 {
 		t.Fatal("non-degenerate row must produce a positive scale")
+	}
+}
+
+// TestGEMMKernelsZeroAlloc gates the three GEMMs nn.Linear runs every step
+// at 0 allocs/op on the serial path: the compaction buffers they gather a
+// row's nonzero coefficients into must stay on the stack. The shapes carry
+// more than gemmChunk nonzeros per row, so the chunk flush runs too.
+func TestGEMMKernelsZeroAlloc(t *testing.T) {
+	prev := par.SetWorkers(1)
+	defer par.SetWorkers(prev)
+	rng := NewRNG(5)
+	x := sparseMatrix(20, 367, 0.5, rng)
+	w := sparseMatrix(367, 64, 0, rng)
+	g := sparseMatrix(20, 64, 0.5, rng)
+	out, gw, gin := New(20, 64), New(367, 64), New(20, 367)
+	if n := testing.AllocsPerRun(20, func() {
+		MatMul(out, x, w)
+		MatMulTransA(gw, x, g)
+		MatMulTransB(gin, g, w)
+	}); n != 0 {
+		t.Fatalf("GEMM kernels allocate %v/op; want 0", n)
 	}
 }

@@ -171,22 +171,71 @@ func (m *Matrix) String() string { return fmt.Sprintf("Matrix(%dx%d)", m.Rows, m
 // the heap at its creation point, so building one only on the parallel
 // branch keeps the steady-state training loop allocation-free.
 
-// matMulRange computes rows [lo, hi) of dst = a x b (dst rows pre-zeroed).
+// gemmChunk is the capacity of the stack arrays a compacted GEMM gathers a
+// row's nonzero coefficients into.
+const gemmChunk = 64
+
+// gatherNonzero scans the strided vector x[off+t*stride] for t ascending
+// from t to n-1 and records each nonzero entry's index t and value in ks
+// and vs, stopping once gemmChunk entries are held. It returns how many
+// entries it recorded and the t to resume the scan from.
+//
+//hotline:hotpath
+func gatherNonzero(ks *[gemmChunk]int32, vs *[gemmChunk]float32, x []float32, off, stride, t, n int) (m, next int) {
+	for ; t < n && m < gemmChunk; t++ {
+		if v := x[off+t*stride]; v != 0 {
+			ks[m], vs[m] = int32(t), v
+			m++
+		}
+	}
+	return m, t
+}
+
+// axpyList computes d[j] += Σ_p vs[p]·b[ks[p]*n+j] for every j < len(d),
+// adding the terms in ascending p order. Coefficients are applied four per
+// pass: each pass loads d[j] once, performs the four multiply-adds in
+// order and stores d[j] once, so per element the addition chain is the one
+// of len(ks) separate axpy passes, with a quarter of the output traffic.
+// len(d) must not exceed n.
+//
+//hotline:hotpath
+func axpyList(d, b []float32, n int, ks []int32, vs []float32) {
+	vs = vs[:len(ks)]
+	p := 0
+	for ; p+4 <= len(ks); p += 4 {
+		a0, a1, a2, a3 := vs[p], vs[p+1], vs[p+2], vs[p+3]
+		k0, k1, k2, k3 := int(ks[p])*n, int(ks[p+1])*n, int(ks[p+2])*n, int(ks[p+3])*n
+		b0 := b[k0 : k0+len(d)]
+		b1 := b[k1 : k1+len(d)]
+		b2 := b[k2 : k2+len(d)]
+		b3 := b[k3 : k3+len(d)]
+		for j, v := range d {
+			v += a0 * b0[j]
+			v += a1 * b1[j]
+			v += a2 * b2[j]
+			v += a3 * b3[j]
+			d[j] = v
+		}
+	}
+	for ; p < len(ks); p++ {
+		k := int(ks[p]) * n
+		axpyUnrolled(d, b[k:k+len(d)], vs[p])
+	}
+}
+
+// matMulRange computes rows [lo, hi) of dst = a x b (dst rows pre-zeroed):
+// row i gathers its nonzero a[i][k], k ascending, and adds the matching
+// rows of b through axpyList.
 //
 //hotline:hotpath
 func matMulRange(dst, a, b *Matrix, lo, hi int) {
-	n := b.Cols
+	var ks [gemmChunk]int32
+	var vs [gemmChunk]float32
 	for i := lo; i < hi; i++ {
-		arow := a.Row(i)
 		drow := dst.Row(i)
-		for k, aik := range arow {
-			if aik == 0 {
-				continue
-			}
-			brow := b.Data[k*n : k*n+n]
-			// Reslicing drow to brow's length lets the compiler drop the
-			// bounds checks in the innermost loop.
-			axpyUnrolled(drow[:len(brow)], brow, aik)
+		for k, m := 0, 0; k < a.Cols; {
+			m, k = gatherNonzero(&ks, &vs, a.Data, i*a.Cols, 1, k, a.Cols)
+			axpyList(drow, b.Data, b.Cols, ks[:m], vs[:m])
 		}
 	}
 }
@@ -210,7 +259,8 @@ func axpyUnrolled(dst, src []float32, alpha float32) {
 }
 
 // MatMul computes dst = a x b. dst must be a.Rows x b.Cols and must not
-// alias a or b. It uses the cache-friendly i-k-j loop order.
+// alias a or b. Per output element the sum starts at +0 and adds
+// a[i][k]·b[k][j] for every nonzero a[i][k], k ascending.
 //
 //hotline:hotpath
 func MatMul(dst, a, b *Matrix) {
@@ -231,40 +281,68 @@ func MatMul(dst, a, b *Matrix) {
 	})
 }
 
-// matMulTransBRange computes rows [lo, hi) of dst = a x bᵀ. Output columns
-// are processed in pairs: the two dot products keep their own k-ascending
-// accumulation chains (bit-equal to the plain loop) while their instruction
-// streams interleave.
+// matMulTransBRange computes rows [lo, hi) of dst = a x bᵀ. Row i gathers
+// its nonzero a[i][k], k ascending, then runs four dot products at a time
+// (four rows of b) over that list; each sum starts at +0, parks in dst
+// between chunks and keeps its own k-ascending chain.
 //
 //hotline:hotpath
 func matMulTransBRange(dst, a, b *Matrix, lo, hi int) {
+	var ks [gemmChunk]int32
+	var vs [gemmChunk]float32
 	for i := lo; i < hi; i++ {
-		arow := a.Row(i)
 		drow := dst.Row(i)
-		j := 0
-		for ; j+2 <= b.Rows; j += 2 {
-			brow0 := b.Row(j)[:len(arow)]
-			brow1 := b.Row(j + 1)[:len(arow)]
-			var sum0, sum1 float32
-			for k, av := range arow {
-				sum0 += av * brow0[k]
-				sum1 += av * brow1[k]
-			}
-			drow[j] = sum0
-			drow[j+1] = sum1
+		for j := range drow {
+			drow[j] = 0
 		}
-		for ; j < b.Rows; j++ {
-			brow := b.Row(j)[:len(arow)]
-			var sum float32
-			for k, av := range arow {
-				sum += av * brow[k]
-			}
-			drow[j] = sum
+		for k, m := 0, 0; k < a.Cols; {
+			m, k = gatherNonzero(&ks, &vs, a.Data, i*a.Cols, 1, k, a.Cols)
+			dotList(drow, b, ks[:m], vs[:m])
 		}
 	}
 }
 
+// dotList computes d[j] += Σ_p vs[p]·b[j][ks[p]] for every row j of b,
+// adding the terms in ascending p order, four rows of b per pass.
+//
+//hotline:hotpath
+func dotList(d []float32, b *Matrix, ks []int32, vs []float32) {
+	vs = vs[:len(ks)]
+	c := b.Cols
+	j := 0
+	for ; j+4 <= b.Rows; j += 4 {
+		b0 := b.Data[j*c : j*c+c]
+		b1 := b.Data[(j+1)*c : (j+1)*c+c]
+		b2 := b.Data[(j+2)*c : (j+2)*c+c]
+		b3 := b.Data[(j+3)*c : (j+3)*c+c]
+		s0, s1, s2, s3 := d[j], d[j+1], d[j+2], d[j+3]
+		for p, k := range ks {
+			v := vs[p]
+			s0 += v * b0[k]
+			s1 += v * b1[k]
+			s2 += v * b2[k]
+			s3 += v * b3[k]
+		}
+		d[j], d[j+1], d[j+2], d[j+3] = s0, s1, s2, s3
+	}
+	for ; j < b.Rows; j++ {
+		brow := b.Data[j*c : j*c+c]
+		s := d[j]
+		for p, k := range ks {
+			s += vs[p] * brow[k]
+		}
+		d[j] = s
+	}
+}
+
 // MatMulTransB computes dst = a x bᵀ. dst must be a.Rows x b.Rows.
+//
+// Per output element the sum starts at +0 and adds a[i][k]·b[j][k] for
+// every nonzero a[i][k], k ascending. For finite b this equals the full
+// dot product bit for bit: a zero coefficient contributes ±0, the +0 start
+// never turns into −0, and adding ±0 leaves any other sum unchanged. A NaN
+// or ±Inf in b, however, reaches only the outputs whose coefficient for it
+// is nonzero (the full product 0·Inf would have been NaN).
 //
 //hotline:hotpath
 func MatMulTransB(dst, a, b *Matrix) {
@@ -285,28 +363,28 @@ func MatMulTransB(dst, a, b *Matrix) {
 }
 
 // matMulTransARange computes output rows (columns of a) [lo, hi) of
-// dst = aᵀ x b, accumulating over r in ascending order — the same
-// per-element addition sequence for every shard split, so the result is
-// bit-identical to the serial r-outer loop.
+// dst = aᵀ x b (dst rows pre-zeroed): output row i gathers the nonzero
+// entries of column i of a, r ascending, and adds the matching rows of b
+// through axpyList. Every shard split gives each output element the same
+// ascending-r addition chain, so the result is bit-identical for every
+// worker count.
 //
 //hotline:hotpath
 func matMulTransARange(dst, a, b *Matrix, lo, hi int) {
-	n := b.Cols
-	ac := a.Cols
+	var ks [gemmChunk]int32
+	var vs [gemmChunk]float32
 	for i := lo; i < hi; i++ {
-		drow := dst.Data[i*n : i*n+n]
-		for r := 0; r < a.Rows; r++ {
-			aval := a.Data[r*ac+i]
-			if aval == 0 {
-				continue
-			}
-			brow := b.Data[r*n : r*n+n]
-			axpyUnrolled(drow[:len(brow)], brow, aval)
+		drow := dst.Row(i)
+		for r, m := 0, 0; r < a.Rows; {
+			m, r = gatherNonzero(&ks, &vs, a.Data, i, a.Cols, r, a.Rows)
+			axpyList(drow, b.Data, b.Cols, ks[:m], vs[:m])
 		}
 	}
 }
 
-// MatMulTransA computes dst = aᵀ x b. dst must be a.Cols x b.Cols.
+// MatMulTransA computes dst = aᵀ x b. dst must be a.Cols x b.Cols. Per
+// output element the sum starts at +0 and adds a[r][i]·b[r][j] for every
+// nonzero a[r][i], r ascending.
 //
 //hotline:hotpath
 func MatMulTransA(dst, a, b *Matrix) {
@@ -317,25 +395,12 @@ func MatMulTransA(dst, a, b *Matrix) {
 		panic(fmt.Sprintf("tensor: MatMulTransA dst %dx%d want %dx%d", dst.Rows, dst.Cols, a.Cols, b.Cols))
 	}
 	dst.Zero()
-	n := b.Cols
-	perCol := 2 * int64(a.Rows) * int64(n)
+	perCol := 2 * int64(a.Rows) * int64(b.Cols)
 	if par.Serial(a.Cols, perCol) {
-		// Cache-friendly r-outer accumulation on a single core. Per output
-		// element this is the same ascending-r addition sequence as the
-		// column-parallel form, so both orders are bit-identical.
-		for r := 0; r < a.Rows; r++ {
-			arow := a.Row(r)
-			brow := b.Row(r)
-			for i, aval := range arow {
-				if aval == 0 {
-					continue
-				}
-				axpyUnrolled(dst.Data[i*n:i*n+n], brow, aval)
-			}
-		}
+		matMulTransARange(dst, a, b, 0, a.Cols)
 		return
 	}
-	// Parallel form: each goroutine owns whole output rows (columns of a).
+	// Each goroutine owns whole output rows (columns of a).
 	par.ForWork(a.Cols, perCol, func(lo, hi int) {
 		matMulTransARange(dst, a, b, lo, hi)
 	})
