@@ -38,8 +38,7 @@ func main() {
 			batches[i] = gen.NextBatch(batch)
 		}
 		for i := 0; i < iters; i++ {
-			end := min(i+depth, iters)
-			tr.StepLookahead(batches[i], batches[i+1:end])
+			tr.StepLookahead(batches[i], batches[i+1:])
 		}
 		return tr.M, svc.Gatherer().Stats()
 	}

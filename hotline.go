@@ -21,14 +21,12 @@ import (
 	"hotline/internal/cost"
 	"hotline/internal/data"
 	"hotline/internal/experiments"
-	"hotline/internal/metrics"
 	"hotline/internal/model"
 	"hotline/internal/par"
 	"hotline/internal/pipeline"
 	"hotline/internal/report"
 	"hotline/internal/serve"
 	"hotline/internal/shard"
-	"hotline/internal/shard/chaos"
 	"hotline/internal/train"
 )
 
@@ -77,8 +75,6 @@ var (
 	TaobaoAlibaba = data.TaobaoAlibaba
 	// CriteoTerabyte returns the RM3 workload (DLRM, 266M rows).
 	CriteoTerabyte = data.CriteoTerabyte
-	// Avazu returns the RM4 workload (DLRM, 21 sparse features).
-	Avazu = data.Avazu
 	// SynM1 returns the 196 GB multi-hot synthetic model (Fig 28/30).
 	SynM1 = data.SynM1
 	// SynM2 returns the 390 GB multi-hot synthetic model.
@@ -108,12 +104,6 @@ type Trainer = train.Trainer
 // TrainRunConfig controls a training run.
 type TrainRunConfig = train.RunConfig
 
-// CurvePoint is one evaluation sample along a training run.
-type CurvePoint = train.CurvePoint
-
-// MetricSummary bundles accuracy/AUC/logloss.
-type MetricSummary = metrics.Summary
-
 // NewBaselineTrainer returns the standard mini-batch SGD executor.
 func NewBaselineTrainer(m *Model, lr float32) Trainer { return train.NewBaseline(m, lr) }
 
@@ -126,14 +116,9 @@ func NewHotlineTrainer(m *Model, lr float32) *train.HotlineTrainer {
 // RunTraining trains and returns the metric curve.
 var RunTraining = train.Run
 
-// ParityReport compares baseline and Hotline executors on identical data.
-type ParityReport = train.ParityReport
-
-// RunParity trains both executors from identical state (Fig 18 / Table V).
+// RunParity trains the baseline and Hotline executors from identical state
+// on identical data and compares them (Fig 18 / Table V).
 var RunParity = train.Parity
-
-// Evaluate computes accuracy/AUC/logloss for predictions.
-var Evaluate = metrics.Evaluate
 
 // MaxModelStateDiff returns the largest absolute parameter difference
 // between two models across dense and sparse state (0 when bit-identical).
@@ -150,18 +135,9 @@ type ShardConfig = shard.Config
 // gradient scatter the topology incurs.
 type ShardService = shard.Service
 
-// ShardStats is a snapshot of a service's measured traffic: cache
-// hits/misses, gather/scatter rows and bytes, fills and evictions.
-type ShardStats = shard.Stats
-
-// CachePolicy selects the device-cache eviction policy.
-type CachePolicy = shard.Policy
-
-// Device-cache eviction policies.
-const (
-	CacheLRU   = shard.PolicyLRU
-	CacheSRRIP = shard.PolicySRRIP
-)
+// CacheSRRIP selects SRRIP/CLOCK device-cache eviction (ShardConfig.Policy;
+// the zero value is LRU).
+const CacheSRRIP = shard.PolicySRRIP
 
 // NewShardService builds a sharded embedding service. The classifier
 // decides which rows may replicate into device caches (nil admits all).
@@ -178,53 +154,30 @@ func NewHotlineShardedTrainer(m *Model, lr float32, svc *ShardService) *train.Ho
 	return train.NewHotlineSharded(m, lr, svc)
 }
 
-// ShardMeasurement carries measured sharding statistics (hit-rates,
-// gather/scatter fractions, bytes per iteration, exposed-gather fraction)
-// for the timing models.
-type ShardMeasurement = pipeline.ShardMeasurement
-
-// MeasureShardStats replays a real access stream against a sharded service
-// under the given eviction policy and returns steady-state measurements
-// (memoised per full configuration, including the policy).
-var MeasureShardStats = pipeline.MeasureShardStats
-
 // ShardProbe configures a MeasureShard measurement: node count, cache
 // budget, batch size, eviction policy and ownership placement.
 type ShardProbe = pipeline.ShardProbe
 
-// MeasureShard is MeasureShardStats with the full probe surface, including
-// the ownership placement (round-robin, capacity-weighted, hot-aware).
+// MeasureShard replays a real access stream against a warmed sharded
+// service configured by the probe — including its eviction policy and
+// ownership placement (round-robin, capacity-weighted, hot-aware) — and
+// returns steady-state hit-rates, gather/scatter fractions and bytes per
+// iteration (memoised per full probe).
 var MeasureShard = pipeline.MeasureShard
 
 // NewShardedWorkload assembles a workload whose timing models consume
 // measured sharding statistics instead of analytic popularity fractions.
 // cacheBytes <= 0 selects the dataset's scaled hot-set budget. The
-// exposed-gather fraction is measured too (MeasureOverlapExposedDepth at the
-// default pipeline depth), so the Hotline model prices overlap from the
-// pipelined engine by default.
+// exposed-gather fraction is measured too, by running the pipelined
+// executor at the given depth (depth < 1 selects the default pipeline
+// depth), so the Hotline model prices overlap from the pipelined engine.
 var NewShardedWorkload = pipeline.NewShardedWorkload
-
-// MeasureOverlapExposedDepth runs the pipelined Hotline executor
-// functionally — synchronous (depth 1) vs the depth-k prefetch pipeline —
-// and returns the measured fraction of gather wall time left exposed
-// (memoised per dataset, node count, cache budget and depth; k < 1 selects
-// the default depth): the mn-depth scenario's queue-depth-vs-staleness
-// sweep.
-var MeasureOverlapExposedDepth = pipeline.MeasureOverlapExposedDepth
-
-// NewShardedWorkloadDepth is NewShardedWorkload with the overlap measured
-// at an explicit pipeline depth k.
-var NewShardedWorkloadDepth = pipeline.NewShardedWorkloadDepth
 
 // DefaultShardCacheBytes returns the default per-node device-cache budget
 // for a dataset (its scaled hot-set budget).
 var DefaultShardCacheBytes = pipeline.DefaultShardCacheBytes
 
 // --- ownership placement and async gather overlap --------------------------
-
-// ShardPartitioner decides which node owns each embedding row; plug one
-// into ShardConfig.Part to replace the round-robin default.
-type ShardPartitioner = shard.Partitioner
 
 // ShardPlacementKind names the shipped ownership policies for probes and
 // reports.
@@ -237,148 +190,19 @@ const (
 	PlaceHotAware   = shard.PlaceHotAware
 )
 
-// NewRoundRobinPartitioner returns the uniform row % nodes placement.
-var NewRoundRobinPartitioner = shard.NewRoundRobin
-
-// NewCapacityWeightedPartitioner spreads rows proportionally to integer
-// per-node capacity weights (heterogeneous clusters).
-var NewCapacityWeightedPartitioner = shard.NewCapacityWeighted
-
-// NewCapacityWeightedHBMPartitioner derives the capacity-weighted placement
-// from real per-node HBM byte budgets (each node's device-memory allowance
-// at the given row footprint) instead of hand-picked weights.
-var NewCapacityWeightedHBMPartitioner = shard.NewCapacityWeightedHBM
-
-// ShardRequestCounter tallies per-node request counts from access streams;
-// its HotAware method builds the placement that pins popular rows to their
-// dominant requesting node.
-type ShardRequestCounter = shard.RequestCounter
-
-// NewShardRequestCounter returns an empty request counter for a topology.
-var NewShardRequestCounter = shard.NewRequestCounter
-
 // OverlapStats aggregates the async gather engine's measured traffic and
 // how much of its wall time stayed exposed (svc.Gatherer().Stats()).
 type OverlapStats = shard.OverlapStats
 
-// AsyncGatherer is the engine that streams planned fabric fetches into
-// staging buffers off the consumer's critical path.
-type AsyncGatherer = shard.AsyncGatherer
+// --- socket fabric and fault tolerance --------------------------------------
 
-// --- transport fabric -------------------------------------------------------
-
-// Transport moves the shard service's cross-node traffic: per-owner gather
-// fetch lists into staging buffers, and pre-reduced scatter updates back to
-// the owning node. The in-proc default is a zero-overhead direct path;
-// SocketTransport speaks the length-prefixed binary framing to real
-// NodeServer peers. Plug one in with ShardService.SetTransport before
-// tables are registered.
-type Transport = shard.Transport
-
-// InprocTransport is the explicit form of the default shared-address-space
-// fast path (bit-for-bit and allocation-for-allocation identical to not
-// setting a transport at all).
-var InprocTransport = shard.NewInproc
-
-// FabricConfig describes a socket fabric to dial: network family
-// ("unix"/"tcp"), one listen address per shard node, per-op timeout.
-type FabricConfig = shard.FabricConfig
-
-// SocketTransport is the framed-protocol Transport over unix or TCP
-// sockets, one connection per peer node.
-type SocketTransport = shard.SocketTransport
-
-// DialFabric connects a SocketTransport to already-listening node servers
-// (e.g. hotline-node worker processes).
-var DialFabric = shard.DialFabric
-
-// NodeServer is one shard node of the multi-process fabric: it owns its
-// rows authoritatively and answers framed fetch/push requests
-// (cmd/hotline-node wraps it in a process).
-type NodeServer = shard.NodeServer
-
-// ServeNode starts a NodeServer listening on the given address (unix
-// socket path, or host:port — port 0 picks a free port).
-var ServeNode = shard.ServeNode
-
-// LocalFabric bundles in-process node servers with a connected transport:
-// real sockets and framing without separate OS processes (tests, examples,
-// and hotline-bench's fallback when hotline-node is not on PATH).
-type LocalFabric = shard.LocalFabric
-
-// StartLocalFabric spins up nodes in-process NodeServers on the network
-// family ("unix" or "tcp") and dials them.
-func StartLocalFabric(nodes int, network string) (*LocalFabric, error) {
-	return shard.StartLocalFabric(nodes, network, 0, nil)
-}
-
-// --- fault tolerance & recovery ---------------------------------------------
-
-// FabricTimeouts are the socket fabric's validated timeout knobs: Dial
-// (connection establishment), IO (per-operation read/write deadlines) and
-// Retry (one recovery's total re-dial budget). Zero fields take documented
-// non-zero defaults; negative fields are a config error.
-type FabricTimeouts = shard.FabricTimeouts
-
-// ResilientTransport layers retry, re-dial, mirror resync and spare
-// adoption over a dialed SocketTransport: transient I/O failures recover,
-// protocol corruption surfaces immediately, and per-peer health is
-// observable (ShardService.PeerHealth).
-type ResilientTransport = shard.ResilientTransport
-
-// NewResilientTransport wraps a dialed socket fabric in the retry/re-dial
-// policy. The zero RetryConfig is a working production config.
-var NewResilientTransport = shard.NewResilientTransport
-
-// RetryConfig tunes the resilient layer: attempt/redial bounds, backoff
-// schedule, injectable clock, address re-resolution and spare-node
-// adoption.
-type RetryConfig = shard.RetryConfig
-
-// PeerHealth is one peer's recovery snapshot: state (alive/suspect/dead),
-// consecutive failures, re-dials, spare adoption, last error.
-type PeerHealth = shard.PeerHealth
-
-// RecoveryConfig selects the service's recovery policy: RecoverNone
-// (fail-fast, the default), RecoverRedial (transport-level retry only), or
-// RecoverAdopt (surviving nodes adopt a dead peer's shard, bit-identically).
+// RecoveryConfig selects a socket-fabric service's recovery policy
+// (ShardService.SetRecovery): fail-fast by default, RecoverRedial for
+// transport-level retry, or shard adoption by the surviving nodes.
 type RecoveryConfig = shard.RecoveryConfig
 
-// RecoveryPolicy names a recovery policy.
-type RecoveryPolicy = shard.RecoveryPolicy
-
-// Recovery policies, in escalation order.
-const (
-	RecoverNone   = shard.RecoverNone
-	RecoverRedial = shard.RecoverRedial
-	RecoverAdopt  = shard.RecoverAdopt
-)
-
-// RecoveryStats counts what recovery cost: shard adoptions, migrated and
-// resynced row payload, re-routed window fetches, recovery wall clock.
-type RecoveryStats = shard.RecoveryStats
-
-// ChaosSchedule is a deterministic fault schedule (kill/restart/delay/
-// corrupt events at training-window granularity) for recovery testing.
-type ChaosSchedule = chaos.Schedule
-
-// SeededChaosSchedule derives a deterministic kill/restart (+link-delay)
-// schedule from a seed: same inputs, same faults, every run.
-var SeededChaosSchedule = chaos.Seeded
-
-// ChaosMeasurement is one functional training run through an injected
-// fault: recovery latency, migration/resync payload, stale-served rows and
-// the bit-parity evidence against the fault-free reference.
-type ChaosMeasurement = pipeline.ChaosMeasurement
-
-// MeasureChaos kills a peer mid-training under a deterministic schedule and
-// measures what the chosen recovery policy cost (the mn-chaos scenario).
-var MeasureChaos = pipeline.MeasureChaos
-
-// FabricMeasurement is one functional training run over a real fabric:
-// measured gather/scatter wall clock plus bit-parity evidence against the
-// in-proc reference.
-type FabricMeasurement = pipeline.FabricMeasurement
+// RecoverRedial is the transport-level retry and re-dial recovery policy.
+const RecoverRedial = shard.RecoverRedial
 
 // MeasureFabricDepth trains the pipelined executor over a socket fabric at
 // an explicit pipeline depth, iteration count and batch size, and reports
@@ -388,26 +212,10 @@ var MeasureFabricDepth = pipeline.MeasureFabricDepth
 
 // --- online serving and the load harness -----------------------------------
 
-// Server answers prediction requests from weight-sharing model replicas
-// behind a read/write lock: concurrent Predicts, exclusive Train steps.
-// The read path never consumes prefetch windows or touches backward state,
-// so a mixed train+serve run leaves training bit-identical to train-only;
-// serve traffic is booked into the shard service's serve-side counters
-// (ShardService.ServeSnapshot) while still warming the shared device
-// caches.
-type Server = serve.Server
-
 // NewServer wraps a model in n predict replicas (model shadows; n <= 0
-// means 1). Wrap training steps in Server.Train to serialise them against
-// in-flight predicts.
+// means 1). Wrap training steps in the server's Train to serialise them
+// against in-flight predicts.
 var NewServer = serve.NewServer
-
-// ServeRequest is one inference request: a batch to score plus the drift
-// day it was drawn from.
-type ServeRequest = serve.Request
-
-// ServeCorpus is a deterministic request stream across drift days.
-type ServeCorpus = serve.Corpus
 
 // BuildServeCorpus draws a corpus from the Zipf/drifting generator:
 // perDay request batches of batchSize samples for each of days days.
@@ -417,24 +225,10 @@ var BuildServeCorpus = serve.BuildCorpus
 // player bound).
 type LoadConfig = serve.LoadConfig
 
-// LoadReport is one load run's throughput and latency measurements.
-type LoadReport = serve.LoadReport
-
-// LatencySummary holds exact nearest-rank latency percentiles
-// (p50/p90/p99/p999) over a full sample set.
-type LatencySummary = serve.LatencySummary
-
 // RunLoad replays a corpus against a server at a target QPS with bounded
 // parallel request players; latency is measured from each request's
 // scheduled arrival, so saturation shows up as queueing in the tail.
 var RunLoad = serve.RunLoad
-
-// SummarizeLatency computes the exact percentile summary of a latency
-// sample set (reordering it in place).
-var SummarizeLatency = serve.Summarize
-
-// SweepPoint is one rate's report within a saturation sweep.
-type SweepPoint = serve.SweepPoint
 
 // SaturationSweep replays the corpus at each target rate, producing the
 // QPS-vs-latency curve.
@@ -461,17 +255,11 @@ var DefaultAcceleratorConfig = accel.DefaultConfig
 
 // --- performance simulation ------------------------------------------------
 
-// System is a simulated training server or cluster (paper Table III).
-type System = cost.System
-
 // PaperSystem returns the single-node evaluation server with n GPUs.
 var PaperSystem = cost.PaperSystem
 
 // PaperCluster returns an n-node cluster with 4 GPUs per node.
 var PaperCluster = cost.PaperCluster
-
-// Workload bundles a dataset, batch size and system for the timing models.
-type Workload = pipeline.Workload
 
 // NewWorkload assembles a workload with measured popularity statistics.
 var NewWorkload = pipeline.NewWorkload
@@ -479,25 +267,14 @@ var NewWorkload = pipeline.NewWorkload
 // TrainingPipeline is one training-system timing model.
 type TrainingPipeline = pipeline.Pipeline
 
-// IterStats is one steady-state iteration's timing and phase breakdown.
-type IterStats = pipeline.IterStats
-
 // Pipeline constructors for every system the paper compares.
 var (
 	// NewHotlinePipeline is the accelerator-pipelined Hotline system.
 	NewHotlinePipeline = pipeline.NewHotline
-	// NewHotlineCPUPipeline is the CPU-segregation ablation (§VII-D).
-	NewHotlineCPUPipeline = pipeline.NewHotlineCPU
 	// NewIntelDLRMPipeline is the hybrid CPU-GPU Intel-optimized baseline.
 	NewIntelDLRMPipeline = pipeline.NewIntelDLRM
-	// NewXDLPipeline is the parameter-server XDL baseline.
-	NewXDLPipeline = pipeline.NewXDL
-	// NewFAEPipeline is the static popularity scheduler baseline.
-	NewFAEPipeline = pipeline.NewFAE
 	// NewHugeCTRPipeline is the GPU-only (model-parallel HBM) baseline.
 	NewHugeCTRPipeline = pipeline.NewHugeCTR
-	// NewScratchPipePipeline is the idealised lookahead-cache comparator.
-	NewScratchPipePipeline = pipeline.NewScratchPipeIdeal
 )
 
 // Pipelines returns every pipeline in figure order.
@@ -519,10 +296,6 @@ var ExperimentTitle = experiments.Title
 
 // RunExperiment regenerates one table or figure by id, e.g. "fig19".
 func RunExperiment(id string) (*ExperimentTable, error) { return experiments.Run(id) }
-
-// ExperimentResult is one experiment's outcome within a concurrent sweep:
-// its table (or captured error) plus the wall-clock duration.
-type ExperimentResult = experiments.SweepResult
 
 // SweepExperiments runs the given experiment ids on a bounded worker pool
 // and returns one result per id in input order. workers <= 0 means NumCPU.

@@ -196,6 +196,3 @@ func (a *Accelerator) Classify(b *data.Batch) Classification {
 func (a *Accelerator) SegregationTime(totalLookups int64) sim.Duration {
 	return a.seg.SegregationTime(totalLookups)
 }
-
-// LookupThroughput exposes sustained lookups/cycle (for reports).
-func (a *Accelerator) LookupThroughput() float64 { return a.seg.Throughput() }

@@ -69,9 +69,6 @@ func NewSegregationModel(eng EngineConfig, eal EALConfig) *SegregationModel {
 	return &SegregationModel{Eng: eng, EAL: eal, throughput: par}
 }
 
-// Throughput returns sustained lookups per cycle.
-func (m *SegregationModel) Throughput() float64 { return m.throughput }
-
 // SegregationTime returns the time to classify a mini-batch with the given
 // total lookup count (batch × average lookups per input) and assemble the
 // two µ-batches. Constants: 1 cycle per issued request plus a fixed

@@ -132,10 +132,6 @@ func (s *ShardedBag) Prefetch(indices [][]int32) {
 // never satisfy a stale window.
 func (s *ShardedBag) AbortPrefetch() { s.windows.Abort() }
 
-// PendingWindows reports the open (issued, unconsumed) prefetch windows
-// shared across this bag and its shadows.
-func (s *ShardedBag) PendingWindows() int { return s.windows.Len() }
-
 // fetchRow copies one owner-resident row into its staging slot.
 //
 //hotline:hotpath

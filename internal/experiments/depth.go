@@ -54,11 +54,7 @@ func runDepth(fn data.Config, nodes, iters, batch, k int, stale bool) depthRun {
 		batches[i] = gen.NextBatch(batch)
 	}
 	for i := 0; i < iters; i++ {
-		end := i + k
-		if end > iters {
-			end = iters
-		}
-		tr.StepLookahead(batches[i], batches[i+1:end])
+		tr.StepLookahead(batches[i], batches[i+1:])
 	}
 
 	evalGen := data.NewGenerator(fn)
@@ -114,7 +110,7 @@ func MNDepth() *report.Table {
 			t.Notes = "REPAIR-MODE STATE DIVERGED — see TestPipelinedOverlapDeterminism"
 		}
 
-		w := pipeline.NewShardedWorkloadDepth(cfg, 4096*nodes, sys, 0, k)
+		w := pipeline.NewShardedWorkload(cfg, 4096*nodes, sys, 0, k)
 		w.Shard.SetExposedFrac(exposedFrac)
 		t.AddRow(fmt.Sprint(k),
 			fmt.Sprint(repair.stats.Windows),

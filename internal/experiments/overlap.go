@@ -65,11 +65,12 @@ func MNPlacement() *report.Table {
 
 // MNOverlap trains the full Hotline executor on sharded tables twice per
 // node count — once with synchronous gathers, once with the cross-iteration
-// prefetch pipeline (mini-batch i+1 classified and its non-popular fabric
-// gathers issued while iteration i finishes, streaming through the dense
-// update and the next popular pass) — and reports the measured wall-clock
-// gather time each run left exposed. The measured exposed fraction then
-// feeds the Hotline timing model in place of its analytic overlap schedule.
+// prefetch pipeline at the default depth k (the next k-1 mini-batches
+// classified and their non-popular fabric gathers issued while iteration i
+// finishes, streaming through the dense update and the next popular pass)
+// — and reports the measured wall-clock gather time each run left exposed.
+// The measured exposed fraction then feeds the Hotline timing model in place
+// of its analytic overlap schedule.
 func MNOverlap() *report.Table {
 	t := &report.Table{Header: []string{
 		"nodes", "prefetched rows", "sync gather", "exposed gather", "hidden",
@@ -92,16 +93,12 @@ func MNOverlap() *report.Table {
 			tr.Depth = depth
 			tr.LearnSamples = 512 // past the learning phase quickly
 			gen := data.NewGenerator(fn)
-			b := gen.NextBatch(batch)
-			var next [1]*data.Batch
-			for i := 1; i <= iters; i++ {
-				ahead := next[:0]
-				if i < iters {
-					next[0] = gen.NextBatch(batch)
-					ahead = next[:]
-				}
-				tr.StepLookahead(b, ahead)
-				b = next[0]
+			batches := make([]*data.Batch, iters)
+			for i := range batches {
+				batches[i] = gen.NextBatch(batch)
+			}
+			for i := range batches {
+				tr.StepLookahead(batches[i], batches[i+1:])
 			}
 			return tr, svc.Gatherer().Stats()
 		}
@@ -126,7 +123,7 @@ func MNOverlap() *report.Table {
 		}
 
 		sys := cost.PaperCluster(nodes)
-		w := pipeline.NewShardedWorkload(cfg, 4096*nodes, sys, 0)
+		w := pipeline.NewShardedWorkload(cfg, 4096*nodes, sys, 0, 0)
 		w.Shard.SetExposedFrac(exposedFrac)
 		hl := pipeline.NewHotline()
 		t.AddRow(fmt.Sprint(nodes),

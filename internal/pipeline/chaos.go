@@ -119,11 +119,7 @@ func MeasureChaos(cfg data.Config, nodes, depth int, network string,
 				fab.Tick(i)
 				serveProbe(svc, batches[i])
 			}
-			end := i + depth
-			if end > iters {
-				end = iters
-			}
-			loss = t.StepLookahead(batches[i], batches[i+1:end])
+			loss = t.StepLookahead(batches[i], batches[i+1:])
 		}
 		return loss, t.M, svc, svc.FabricErr()
 	}

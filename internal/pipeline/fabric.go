@@ -104,11 +104,7 @@ func MeasureFabricOver(cfg data.Config, nodes, depth int, iters, batch int, fabr
 		svc.ResetStats()
 		var loss float64
 		for i := 0; i < iters; i++ {
-			end := i + depth
-			if end > iters {
-				end = iters
-			}
-			loss = t.StepLookahead(batches[i], batches[i+1:end])
+			loss = t.StepLookahead(batches[i], batches[i+1:])
 		}
 		return loss, t.M, svc.Snapshot(), svc.FabricErr()
 	}

@@ -3,7 +3,6 @@ package pipeline
 import (
 	"fmt"
 	"sync"
-	"time"
 
 	"hotline/internal/cost"
 	"hotline/internal/data"
@@ -78,24 +77,6 @@ type ShardMeasurement struct {
 	// set; the Hotline timing model then prices the exposed share instead
 	// of its analytic overlap schedule.
 	ExposedFrac float64
-	// Fabric names the transport a real-fabric measurement ran over
-	// ("unix", "tcp"); empty means the fabric numbers below are unset and
-	// the timing models rely on the analytic AllToAllTime alone.
-	Fabric string
-	// GatherWallPerIter / ScatterWallPerIter are the measured per-iteration
-	// wall-clock totals the fabric transport spent on gather fetches and
-	// scatter pushes (MeasureFabricDepth) — the empirical counterparts to
-	// the analytic all-to-all model.
-	GatherWallPerIter  time.Duration
-	ScatterWallPerIter time.Duration
-}
-
-// SetFabric records a fabric measurement's wall-clock numbers on the
-// workload's shard statistics.
-func (m *ShardMeasurement) SetFabric(fm FabricMeasurement) {
-	m.Fabric = fm.Fabric
-	m.GatherWallPerIter = fm.GatherWallPerIter
-	m.ScatterWallPerIter = fm.ScatterWallPerIter
 }
 
 // SetExposedFrac records a measured exposed-gather fraction (clamped to
@@ -148,25 +129,17 @@ const measureIters = 4
 // measureWarmup is how many iterations run before counters reset.
 const measureWarmup = 2
 
-// MeasureShardStats replays a real access stream against a sharded service
-// under the given eviction policy (round-robin ownership): it profiles an
-// epoch, builds the access-aware placement (the EAL-learned hot set),
-// preloads the hot rows into the per-node device caches, streams warm-up
-// batches, then measures steady-state cache hit-rates and gather/scatter
-// volumes over several iterations. Results are memoised per configuration
-// — the policy is part of the memo identity — and deterministic for any
-// concurrency.
-func MeasureShardStats(cfg data.Config, nodes int, cacheBytes int64, batch int, policy shard.Policy) ShardMeasurement {
-	return MeasureShard(cfg, ShardProbe{
-		Nodes: nodes, CacheBytes: cacheBytes, Batch: batch, Policy: policy,
-	})
-}
-
-// MeasureShard is MeasureShardStats with the full probe surface: eviction
-// policy plus ownership placement (round-robin, capacity-weighted with
-// optional per-node weights, or hot-aware — popular rows pinned to their
+// MeasureShard replays a real access stream against a sharded service
+// configured by the probe: it profiles an epoch, builds the access-aware
+// placement (the EAL-learned hot set), preloads the hot rows into the
+// per-node device caches, streams warm-up batches, then measures
+// steady-state cache hit-rates and gather/scatter volumes over several
+// iterations. The probe selects the eviction policy, the precision tiering
+// and the ownership placement (round-robin, capacity-weighted with optional
+// per-node HBM budgets, or hot-aware — popular rows pinned to their
 // dominant requesting node, counted over the same stream the measurement
-// replays).
+// replays). Results are memoised per full probe — every field is part of
+// the memo identity — and deterministic for any concurrency.
 func MeasureShard(cfg data.Config, p ShardProbe) ShardMeasurement {
 	key := fmt.Sprintf("%s/%d/%d/%d/%s/%s/%v/%s",
 		cfg.Name, p.Nodes, p.CacheBytes, p.Batch, p.Policy, p.Placement, p.HBMBytes, p.Quant)
@@ -357,12 +330,8 @@ func MeasureOverlapExposedDepth(cfg data.Config, nodes int, cacheBytes int64, de
 		for i := range batches {
 			batches[i] = gen.NextBatch(batch)
 		}
-		for i := 0; i < iters; i++ {
-			end := i + depth
-			if end > iters {
-				end = iters
-			}
-			tr.StepLookahead(batches[i], batches[i+1:end])
+		for i := range batches {
+			tr.StepLookahead(batches[i], batches[i+1:])
 		}
 		return svc.Gatherer().Stats()
 	}
@@ -373,21 +342,17 @@ func MeasureOverlapExposedDepth(cfg data.Config, nodes int, cacheBytes int64, de
 	return f
 }
 
-// NewShardedWorkload is NewShardedWorkloadDepth at the executors' current
-// default pipeline depth.
-func NewShardedWorkload(cfg data.Config, batch int, sys cost.System, cacheBytes int64) Workload {
-	return NewShardedWorkloadDepth(cfg, batch, sys, cacheBytes, train.DefaultPipelineDepth())
-}
-
-// NewShardedWorkloadDepth assembles a workload whose timing models consume
+// NewShardedWorkload assembles a workload whose timing models consume
 // measured sharding statistics (sys.Nodes simulated nodes, cacheBytes of
-// device cache per node, LRU caches over round-robin ownership) instead of
-// the analytic popularity fractions. The exposed-gather fraction is also
-// measured — the depth-k pipelined async engine against its synchronous
-// baseline (MeasureOverlapExposedDepth) — so every mn-* scenario prices
-// overlap from measurement by default instead of the analytic overlap
-// schedule, at the pipeline depth the scenario sweeps.
-func NewShardedWorkloadDepth(cfg data.Config, batch int, sys cost.System, cacheBytes int64, depth int) Workload {
+// device cache per node — <= 0 selects DefaultShardCacheBytes — LRU caches
+// over round-robin ownership) instead of the analytic popularity
+// fractions. The exposed-gather fraction is also measured — the depth-k
+// pipelined async engine against its synchronous baseline
+// (MeasureOverlapExposedDepth) — so every mn-* scenario prices overlap from
+// measurement instead of the analytic overlap schedule, at the pipeline
+// depth the scenario sweeps (depth < 1 selects the executors' current
+// default).
+func NewShardedWorkload(cfg data.Config, batch int, sys cost.System, cacheBytes int64, depth int) Workload {
 	w := NewWorkload(cfg, batch, sys)
 	if cacheBytes <= 0 {
 		cacheBytes = DefaultShardCacheBytes(cfg)
@@ -395,7 +360,9 @@ func NewShardedWorkloadDepth(cfg data.Config, batch int, sys cost.System, cacheB
 	if depth < 1 {
 		depth = train.DefaultPipelineDepth()
 	}
-	m := MeasureShardStats(cfg, sys.Nodes, cacheBytes, batch, shard.PolicyLRU)
+	m := MeasureShard(cfg, ShardProbe{
+		Nodes: sys.Nodes, CacheBytes: cacheBytes, Batch: batch, Policy: shard.PolicyLRU,
+	})
 	if sys.Nodes > 1 {
 		m.PipelineDepth = depth
 		m.SetExposedFrac(MeasureOverlapExposedDepth(cfg, sys.Nodes, cacheBytes, depth))

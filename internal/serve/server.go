@@ -45,9 +45,6 @@ func NewServer(m *model.Model, n int) *Server {
 	return s
 }
 
-// Replicas returns the predict replica count.
-func (s *Server) Replicas() int { return cap(s.replicas) }
-
 // Predict returns click probabilities for one request batch.
 func (s *Server) Predict(b *data.Batch) []float32 {
 	return s.PredictInto(nil, b)

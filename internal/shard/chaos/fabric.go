@@ -34,15 +34,7 @@ type Fabric struct {
 	corrupt   []bool              // poison the next reply read
 	timers    []*time.Timer
 	schedule  Schedule
-	timeline  []TimelineEntry
 	closed    bool
-}
-
-// TimelineEntry is one applied chaos action with its wall timestamp —
-// the raw material for recovery-latency reporting.
-type TimelineEntry struct {
-	At   time.Time
-	What string
 }
 
 // NewFabric starts nodes NodeServers on the given socket family with no
@@ -169,10 +161,8 @@ func (f *Fabric) Tick(w int) {
 		case DelayLink:
 			f.delay[e.Peer] = e.Delay
 			f.delayLeft[e.Peer] = e.Windows
-			f.note("w%d: delay link %d by %s for %d windows", w, e.Peer, e.Delay, e.Windows)
 		case CorruptFrame:
 			f.corrupt[e.Peer] = true
-			f.note("w%d: corrupt next frame from %d", w, e.Peer)
 		}
 	}
 	for n := range f.delayLeft {
@@ -188,7 +178,7 @@ func (f *Fabric) Tick(w int) {
 		f.Kill(peer)
 	}
 	for _, e := range restarts {
-		f.armRestart(w, e)
+		f.armRestart(e)
 	}
 }
 
@@ -198,7 +188,6 @@ func (f *Fabric) Kill(peer int) {
 	f.mu.Lock()
 	srv := f.servers[peer]
 	f.servers[peer] = nil
-	f.note("kill node %d", peer)
 	f.mu.Unlock()
 	if srv != nil {
 		srv.Close()
@@ -206,13 +195,12 @@ func (f *Fabric) Kill(peer int) {
 }
 
 // armRestart schedules a wall-delayed restart of a killed peer.
-func (f *Fabric) armRestart(w int, e Event) {
+func (f *Fabric) armRestart(e Event) {
 	f.mu.Lock()
 	if f.closed {
 		f.mu.Unlock()
 		return
 	}
-	f.note("w%d: restart of node %d armed in %s", w, e.Peer, e.After)
 	t := time.AfterFunc(e.After, func() { f.Restart(e.Peer) })
 	f.timers = append(f.timers, t)
 	f.mu.Unlock()
@@ -228,25 +216,7 @@ func (f *Fabric) Restart(peer int) error {
 		return fmt.Errorf("%w: chaos fabric closed", shard.ErrClosed)
 	}
 	f.mu.Unlock()
-	if err := f.startNode(peer); err != nil {
-		return err
-	}
-	f.mu.Lock()
-	f.note("node %d restarted on %s", peer, f.addrs[peer])
-	f.mu.Unlock()
-	return nil
-}
-
-// Timeline returns the applied chaos actions with wall timestamps.
-func (f *Fabric) Timeline() []TimelineEntry {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return append([]TimelineEntry(nil), f.timeline...)
-}
-
-// note appends a timeline entry. Caller holds f.mu.
-func (f *Fabric) note(format string, args ...any) {
-	f.timeline = append(f.timeline, TimelineEntry{At: time.Now(), What: fmt.Sprintf(format, args...)})
+	return f.startNode(peer)
 }
 
 // Close stops pending restart timers, every live node, and removes the

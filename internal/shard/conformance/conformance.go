@@ -106,11 +106,7 @@ func trainOver(tb testing.TB, s Suite, cfg data.Config, nodes, depth int, part s
 	svc.ResetStats()
 	res := runResult{m: t.M}
 	for i := range batches {
-		end := i + depth
-		if end > len(batches) {
-			end = len(batches)
-		}
-		res.losses = append(res.losses, t.StepLookahead(batches[i], batches[i+1:end]))
+		res.losses = append(res.losses, t.StepLookahead(batches[i], batches[i+1:]))
 	}
 	res.stats = svc.Snapshot()
 	if g := svc.Gatherer(); g != nil {

@@ -244,11 +244,7 @@ func RunFaults(t *testing.T, network string) {
 		tr.StepLookahead(batches[0], batches[1:3])
 		fab.Servers[1].Close() // the peer dies with window(s) open
 		for i := 1; i < len(batches); i++ {
-			end := i + 2
-			if end > len(batches) {
-				end = len(batches)
-			}
-			tr.StepLookahead(batches[i], batches[i+1:end])
+			tr.StepLookahead(batches[i], batches[i+1:])
 		}
 		if err := svc.FabricErr(); !errors.Is(err, shard.ErrPeerDead) {
 			t.Fatalf("fabric error after peer death: got %v want ErrPeerDead", err)

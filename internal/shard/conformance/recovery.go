@@ -112,11 +112,7 @@ func trainChaos(tb testing.TB, network string, nodes, depth int, part shard.Part
 	res := runResult{m: t.M}
 	for i := range batches {
 		fab.Tick(i)
-		end := i + depth
-		if end > len(batches) {
-			end = len(batches)
-		}
-		res.losses = append(res.losses, t.StepLookahead(batches[i], batches[i+1:end]))
+		res.losses = append(res.losses, t.StepLookahead(batches[i], batches[i+1:]))
 	}
 	res.stats = svc.Snapshot()
 	if g := svc.Gatherer(); g != nil {

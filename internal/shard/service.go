@@ -74,13 +74,6 @@ func (c Config) Dim() int { return int(c.RowBytes / 4) }
 // width (the int8 format carries its per-row float32 scale).
 func (c Config) EntryBytes(w Width) int64 { return w.RowBytes(c.Dim()) }
 
-// WarmCacheRows returns how many warm-tier rows the byte budget holds at the
-// configured quantization mode's warm width — the effective capacity the
-// placement and timing models reprice from.
-func (c Config) WarmCacheRows() int {
-	return int(c.CacheBytes / c.EntryBytes(c.Quant.WarmWidth()))
-}
-
 // PureRemote reports whether the service runs without device caches (every
 // remote lookup crosses the fabric, no replication fill traffic).
 func (c Config) PureRemote() bool { return c.CacheBytes == 0 }

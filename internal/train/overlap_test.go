@@ -131,11 +131,7 @@ func TestPipelinedOverlapDeterminism(t *testing.T) {
 			for _, k := range []int{1, 2, 4, 8} {
 				tr, svc := newTrainer(k)
 				for i := 0; i < iters; i++ {
-					end := i + k
-					if end > iters {
-						end = iters
-					}
-					tr.StepLookahead(batches[i], batches[i+1:end])
+					tr.StepLookahead(batches[i], batches[i+1:])
 				}
 				st := svc.Gatherer().Stats()
 				if !model.DenseStateEqual(ref.M, tr.M) {
@@ -186,11 +182,7 @@ func TestDeepPipelineRepairAndStaleness(t *testing.T) {
 			batches[i] = gen.NextBatch(batch)
 		}
 		for i := 0; i < iters; i++ {
-			end := i + k
-			if end > iters {
-				end = iters
-			}
-			tr.StepLookahead(batches[i], batches[i+1:end])
+			tr.StepLookahead(batches[i], batches[i+1:])
 		}
 		return tr.M, svc.Gatherer().Stats()
 	}
